@@ -37,6 +37,9 @@ if [[ "$quick" != "quick" ]]; then
     cargo test -q -p skyline-integration-tests --test delta_oracle
     cargo test -q -p skyline-integration-tests --test delta_properties
 
+    echo "==> engine exactness: pinned counters and skylines (tier-1)"
+    cargo test -q -p skyline-integration-tests --test engine_exactness
+
     echo "==> opt-in: property tests"
     cargo test -q -p skyline-integration-tests --features property-tests \
         --test property_skyline
