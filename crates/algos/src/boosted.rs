@@ -11,12 +11,13 @@
 //! `σ = round(d/3)` at run time.
 
 use skyline_core::boost::{
-    boosted_skyline, boosted_skyline_cancellable, boosted_skyline_traced, BoostConfig, SortStrategy,
+    boosted_skyline, boosted_skyline_cancellable, boosted_skyline_traced, presort, BoostConfig,
+    SortStrategy,
 };
 use skyline_core::cancel::{CancelToken, Cancelled, CHECK_STRIDE};
 use skyline_core::container::{SkylineContainer, SubsetContainer};
 use skyline_core::dataset::Dataset;
-use skyline_core::dominance::{dominates, lex_cmp, points_equal};
+use skyline_core::dominance::{lex_cmp, points_equal};
 use skyline_core::merge::{merge_traced_cancel, MergeConfig};
 use skyline_core::metrics::Metrics;
 use skyline_core::point::{coordinate_sum, PointId};
@@ -226,36 +227,30 @@ impl SdiSubset {
 
         let survivors = &outcome.survivors;
         let m = survivors.len();
-        let sums: Vec<f64> = survivors
-            .iter()
-            .map(|&q| coordinate_sum(data.point(q)))
+        // Per-dimension sorted indexes over survivor *positions*, each
+        // presorted as contiguous (value, position) records in one reused
+        // buffer; coordinate sums are computed only for tied values.
+        let mut records: Vec<(f64, u32)> = Vec::with_capacity(m);
+        let orders: Vec<Vec<u32>> = (0..dims)
+            .map(|dim| {
+                records.clear();
+                records.extend((0..m).map(|pos| (data.value(survivors[pos], dim), pos as u32)));
+                presort(
+                    &mut records,
+                    |pos| coordinate_sum(data.point(survivors[pos])),
+                    |a, b| {
+                        let (qa, qb) = (survivors[a], survivors[b]);
+                        lex_cmp(data.point(qa), data.point(qb)).then(qa.cmp(&qb))
+                    },
+                )
+            })
             .collect();
-
-        // Per-dimension sorted indexes over survivor *positions*.
-        let mut orders: Vec<Vec<u32>> = Vec::with_capacity(dims);
-        for dim in 0..dims {
-            let mut order: Vec<u32> = (0..m as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (qa, qb) = (survivors[a as usize], survivors[b as usize]);
-                data.value(qa, dim)
-                    .total_cmp(&data.value(qb, dim))
-                    .then_with(|| sums[a as usize].total_cmp(&sums[b as usize]))
-                    .then_with(|| lex_cmp(data.point(qa), data.point(qb)))
-                    .then(qa.cmp(&qb))
-            });
-            orders.push(order);
-        }
+        // The sort-only buffer goes before the scan allocates its index.
+        drop(records);
 
         // Stop point among the survivors: argmin squared distance to the
         // dataset min corner.
-        let mut min_corner = vec![f64::INFINITY; dims];
-        for (_, p) in data.iter() {
-            for (mc, v) in min_corner.iter_mut().zip(p) {
-                if *v < *mc {
-                    *mc = *v;
-                }
-            }
-        }
+        let min_corner = outcome.dataset_min_corner(data);
         let stop_pos = (0..m)
             .min_by(|&a, &b| {
                 let score = |i: usize| -> f64 {
@@ -278,7 +273,6 @@ impl SdiSubset {
         let mut pos = vec![0usize; dims];
         let mut stop_dims_remaining = dims;
         let mut current = 0usize;
-        let mut candidates: Vec<PointId> = Vec::new();
 
         // Breadth-first traversal among dimensions, as in plain SDI.
         let mut steps = 0usize;
@@ -315,21 +309,12 @@ impl SdiSubset {
                     let q = survivors[spos];
                     let q_row = data.point(q);
                     let q_sub = outcome.subspaces[spos];
-                    candidates.clear();
-                    container.candidates_into(q_sub, &mut candidates, metrics);
-                    let mut dominated = false;
-                    for &c in &candidates {
-                        metrics.count_dt();
-                        if dominates(data.point(c), q_row) {
-                            dominated = true;
-                            break;
-                        }
-                    }
+                    let dominated = container.find_dominator(q_sub, q_row, metrics).is_some();
                     if dominated {
                         status[spos] = Status::Dominated;
                     } else {
                         status[spos] = Status::Skyline;
-                        container.put(q, q_sub, metrics);
+                        container.put(q, q_row, q_sub, metrics);
                         dim_sky_count[current] += 1;
                         confirmed_new = true;
                     }

@@ -652,6 +652,9 @@ mod tests {
     /// Verbatim copy of `merge_shards` as it stood before the merge was
     /// lifted into `skyline_core::shard_merge` — the oracle pinning the
     /// extraction: identical skylines *and* identical counter values.
+    /// Containers now carry rows, so `put` takes the row, and the removed
+    /// `candidates_into` is spelled as the index query it forwarded to
+    /// (same ids, same order, same counters).
     fn legacy_merge_shards(
         data: &Dataset,
         shards: &[ShardRun],
@@ -704,7 +707,9 @@ mod tests {
                     continue;
                 }
                 candidates.clear();
-                container.candidates_into(q_sub, &mut candidates, metrics);
+                container
+                    .index()
+                    .query_into(q_sub, &mut candidates, metrics);
                 for &c in &candidates {
                     metrics.count_dt();
                     if dominates(data.point(c), q_row) {
@@ -715,7 +720,7 @@ mod tests {
             }
             best_max = best_max.min(max_coordinate(q_row));
             if !dominated {
-                containers[q_shard as usize].put(q, q_sub, metrics);
+                containers[q_shard as usize].put(q, q_row, q_sub, metrics);
                 skyline.push(q);
             }
         }

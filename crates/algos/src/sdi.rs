@@ -67,15 +67,7 @@ pub(crate) fn dimension_orders(data: &Dataset, sums: &[f64]) -> Vec<Vec<PointId>
 /// The stop point: argmin of the squared distance to the dataset's min
 /// corner (ties by id). Always a skyline point.
 pub(crate) fn stop_point(data: &Dataset) -> PointId {
-    let dims = data.dims();
-    let mut min_corner = vec![f64::INFINITY; dims];
-    for (_, p) in data.iter() {
-        for (m, v) in min_corner.iter_mut().zip(p) {
-            if *v < *m {
-                *m = *v;
-            }
-        }
-    }
+    let min_corner = data.min_corner();
     let mut best = (f64::INFINITY, 0 as PointId);
     for (id, p) in data.iter() {
         let score: f64 = p

@@ -24,18 +24,19 @@ fn bench_trie_node(c: &mut Criterion) {
     let stored = subspaces(dims, 8192, 3);
     let queries = subspaces(dims, 512, 5);
 
+    let row = vec![0.0; dims];
     let mut hash = SubsetIndex::new(dims);
     let mut sorted = SortedSubsetIndex::new(dims);
     for (i, &s) in stored.iter().enumerate() {
-        hash.put(i as u32, s);
-        sorted.put(i as u32, s);
+        hash.put(i as u32, &row, s);
+        sorted.put(i as u32, &row, s);
     }
 
     group.bench_function(BenchmarkId::new("put", "hash"), |bencher| {
         bencher.iter(|| {
             let mut index = SubsetIndex::new(dims);
             for (i, &s) in stored.iter().enumerate() {
-                index.put(i as u32, s);
+                index.put(i as u32, &row, s);
             }
             black_box(index.len())
         })
@@ -44,7 +45,7 @@ fn bench_trie_node(c: &mut Criterion) {
         bencher.iter(|| {
             let mut index = SortedSubsetIndex::new(dims);
             for (i, &s) in stored.iter().enumerate() {
-                index.put(i as u32, s);
+                index.put(i as u32, &row, s);
             }
             black_box(index.len())
         })

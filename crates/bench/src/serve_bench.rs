@@ -369,6 +369,10 @@ pub fn replication_bench_json(
             ))
         })
         .ok_or_else(|| std::io::Error::other("follower /metrics lacks replication counters"))?;
+    // Close the primary session before the shutdown, or the shutdown
+    // waits out its idle keep-alive read and the follower session goes
+    // stale in the meantime.
+    drop(session);
     primary.shutdown();
 
     // Failover: with the primary gone, time the promotion itself and

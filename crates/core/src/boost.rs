@@ -3,9 +3,10 @@
 //! 1. run [`crate::merge`] to pick pivot points and assign every surviving
 //!    point its maximum dominating subspace;
 //! 2. run a sorting-based skyline scan in which the skyline is kept in a
-//!    [`SkylineContainer`]: confirmed points are `put` with their subspace,
-//!    and each testing point is compared only against the container's
-//!    `candidates` for its subspace;
+//!    [`SkylineContainer`]: confirmed points are `put` with their row and
+//!    subspace, and each testing point is tested in place against only
+//!    the container's candidates for its subspace, up to the first
+//!    dominator;
 //! 3. the skyline is the merge-phase skyline plus the scan-phase
 //!    confirmations.
 //!
@@ -18,12 +19,14 @@
 //! confirmed when the point is tested (the presorting condition of
 //! Lemma 5.1).
 
+use std::cmp::Ordering;
+
 use skyline_obs::{NoopRecorder, Recorder};
 
 use crate::cancel::{CancelToken, Cancelled, CHECK_STRIDE};
 use crate::container::{SkylineContainer, SubsetContainer};
 use crate::dataset::Dataset;
-use crate::dominance::{dominates, lex_cmp};
+use crate::dominance::lex_cmp;
 use crate::merge::{merge_traced_cancel, MergeConfig, MergeOutcome};
 use crate::metrics::Metrics;
 use crate::point::{coordinate_sum, max_coordinate, min_coordinate, PointId};
@@ -61,6 +64,47 @@ impl SortStrategy {
             ),
         }
     }
+}
+
+/// Sort `records`, `(key, position)` pairs, by key, then by
+/// `secondary(position)`, then by `tie`, and return the positions in that
+/// order.
+///
+/// The sort runs over the contiguous records, so a comparison reads both
+/// keys in place instead of chasing two positions to their rows. Runs of
+/// equal keys are then ordered by the rest of the chain: `secondary` is
+/// computed once per position in such a run, written over the (equal)
+/// key, and `tie` runs only when both keys are equal. So inputs with many
+/// equal values cost one secondary key per tied position, and no side
+/// vector is kept for the positions that do not tie. Callers end `tie`
+/// with an id comparison, which makes the order strict and total, so the
+/// result does not depend on the sort algorithm.
+pub fn presort(
+    records: &mut [(f64, u32)],
+    secondary: impl Fn(usize) -> f64,
+    tie: impl Fn(usize, usize) -> Ordering,
+) -> Vec<u32> {
+    records.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut start = 0;
+    while start < records.len() {
+        let key = records[start].0;
+        let len = records[start..]
+            .iter()
+            .position(|r| r.0.total_cmp(&key).is_ne())
+            .unwrap_or(records.len() - start);
+        let run = &mut records[start..start + len];
+        if len > 1 {
+            for r in run.iter_mut() {
+                r.0 = secondary(r.1 as usize);
+            }
+            run.sort_unstable_by(|a, b| {
+                a.0.total_cmp(&b.0)
+                    .then_with(|| tie(a.1 as usize, b.1 as usize))
+            });
+        }
+        start += len;
+    }
+    records.iter().map(|r| r.1).collect()
 }
 
 /// Configuration of a boosted run.
@@ -208,38 +252,30 @@ fn scan_survivors(
     cancel: &CancelToken,
 ) -> Result<(), Cancelled> {
     rec.span_start("sort");
-    let dims = data.dims();
-    let mut min_corner = vec![f64::INFINITY; dims];
-    if config.sort == SortStrategy::Euclidean {
-        for (_, p) in data.iter() {
-            for (m, v) in min_corner.iter_mut().zip(p) {
-                if *v < *m {
-                    *m = *v;
-                }
-            }
-        }
-    }
+    let min_corner = if config.sort == SortStrategy::Euclidean {
+        outcome.dataset_min_corner(data)
+    } else {
+        Vec::new()
+    };
 
-    // Presort survivor indices (positions into outcome.survivors, so the
+    // Presort survivor positions (into outcome.survivors, so the
     // parallel subspace vector stays addressable).
-    let mut order: Vec<u32> = (0..outcome.survivors.len() as u32).collect();
-    let keys: Vec<(f64, f64)> = outcome
-        .survivors
-        .iter()
-        .map(|&q| config.sort.key(data.point(q), &min_corner))
+    let survivors = &outcome.survivors;
+    let key = |pos: usize| config.sort.key(data.point(survivors[pos]), &min_corner);
+    let mut records: Vec<(f64, u32)> = (0..survivors.len())
+        .map(|pos| (key(pos).0, pos as u32))
         .collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (ka, kb) = (&keys[a as usize], &keys[b as usize]);
-        ka.0.total_cmp(&kb.0)
-            .then_with(|| ka.1.total_cmp(&kb.1))
+    let order = presort(
+        &mut records,
+        |pos| key(pos).1,
+        |a, b| {
+            let (qa, qb) = (survivors[a], survivors[b]);
             // Rounding-equal keys: keep dominators first (see `lex_cmp`).
-            .then_with(|| {
-                lex_cmp(
-                    data.point(outcome.survivors[a as usize]),
-                    data.point(outcome.survivors[b as usize]),
-                )
-            })
-    });
+            lex_cmp(data.point(qa), data.point(qb)).then(qa.cmp(&qb))
+        },
+    );
+    // The sort-only buffer goes before the scan fills the container.
+    drop(records);
     rec.span_end("sort");
     rec.span_start("scan");
 
@@ -252,7 +288,6 @@ fn scan_survivors(
         }
     }
 
-    let mut candidates: Vec<PointId> = Vec::new();
     for (scanned, &pos) in order.iter().enumerate() {
         if scanned % CHECK_STRIDE == 0 && cancel.check().is_err() {
             rec.span_end("scan");
@@ -275,21 +310,12 @@ fn scan_survivors(
             continue;
         }
         let q_sub: Subspace = outcome.subspaces[pos as usize];
-        candidates.clear();
-        container.candidates_into(q_sub, &mut candidates, metrics);
-        let mut dominated = false;
-        for &c in &candidates {
-            metrics.count_dt();
-            if dominates(data.point(c), q_row) {
-                dominated = true;
-                break;
-            }
-        }
+        let dominated = container.find_dominator(q_sub, q_row, metrics).is_some();
         if config.use_stop_point {
             best_max = best_max.min(max_coordinate(q_row));
         }
         if !dominated {
-            container.put(q, q_sub, metrics);
+            container.put(q, q_row, q_sub, metrics);
             skyline.push(q);
         }
     }
@@ -336,6 +362,37 @@ mod tests {
     use crate::dominance::dominance;
     use crate::dominance::DomRelation;
     use crate::merge::PivotScore;
+
+    #[test]
+    fn presort_matches_the_full_comparator_chain_on_ties() {
+        // Few distinct keys, so most comparisons tie on both keys; -0.0
+        // and 0.0 are distinct under `total_cmp`.
+        let keys = [0.0, -0.0, 1.0, 2.5];
+        let mut state = 17u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for len in [0usize, 1, 2, 7, 300] {
+            let primary: Vec<f64> = (0..len).map(|_| keys[next(4) as usize]).collect();
+            let secondary: Vec<f64> = (0..len).map(|_| keys[next(4) as usize]).collect();
+            let third: Vec<u64> = (0..len).map(|_| next(3)).collect();
+            let tie = |a: usize, b: usize| third[a].cmp(&third[b]).then(a.cmp(&b));
+            let mut want: Vec<u32> = (0..len as u32).collect();
+            want.sort_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                primary[a]
+                    .total_cmp(&primary[b])
+                    .then_with(|| secondary[a].total_cmp(&secondary[b]))
+                    .then_with(|| tie(a, b))
+            });
+            let mut records: Vec<(f64, u32)> = (0..len).map(|i| (primary[i], i as u32)).collect();
+            let got = presort(&mut records, |i| secondary[i], tie);
+            assert_eq!(got, want, "len {len}");
+        }
+    }
 
     /// Quadratic reference skyline.
     fn naive_skyline(data: &Dataset) -> Vec<PointId> {

@@ -135,6 +135,21 @@ impl Dataset {
         self.values[id as usize * self.dims + dim]
     }
 
+    /// The componentwise minimum over all points (`+∞` in every dimension
+    /// for an empty dataset): the anchor of the Euclidean scores, which
+    /// are monotone w.r.t. dominance for any input when measured from it.
+    pub fn min_corner(&self) -> Vec<f64> {
+        let mut corner = vec![f64::INFINITY; self.dims];
+        for (_, p) in self.iter() {
+            for (m, v) in corner.iter_mut().zip(p) {
+                if *v < *m {
+                    *m = *v;
+                }
+            }
+        }
+        corner
+    }
+
     /// Iterate over `(id, coordinates)` pairs.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (PointId, &[f64])> {
         self.values

@@ -84,6 +84,56 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strict
 }
 
+/// The position of the first row in `rows` (rows of `q.len()`
+/// coordinates packed back to back) that dominates `q`.
+///
+/// This is the in-place kernel of the subset index: the caller counts
+/// `position + 1` dominance tests on a hit and one per row on a miss.
+/// Each row test is [`dominates`] without the early exit: every
+/// coordinate is read and folded with `|`, so it has no data-dependent
+/// branch, and its result is identical, NaN included (a NaN coordinate is
+/// neither worse nor better).
+#[inline]
+pub fn first_dominator(rows: &[f64], q: &[f64]) -> Option<usize> {
+    // Common widths get a fixed-width copy of the loop, which the
+    // compiler unrolls into straight-line vector compares.
+    match q.len() {
+        0 => None,
+        2 => first_dominator_of::<2>(rows, q),
+        3 => first_dominator_of::<3>(rows, q),
+        4 => first_dominator_of::<4>(rows, q),
+        5 => first_dominator_of::<5>(rows, q),
+        6 => first_dominator_of::<6>(rows, q),
+        7 => first_dominator_of::<7>(rows, q),
+        8 => first_dominator_of::<8>(rows, q),
+        d => rows.chunks_exact(d).position(|row| {
+            let (mut worse, mut better) = (false, false);
+            for (x, y) in row.iter().zip(q) {
+                worse |= x > y;
+                better |= x < y;
+            }
+            better & !worse
+        }),
+    }
+}
+
+#[inline]
+fn first_dominator_of<const D: usize>(rows: &[f64], q: &[f64]) -> Option<usize> {
+    let q: &[f64; D] = q.try_into().expect("q is D wide");
+    for (i, row) in rows.chunks_exact(D).enumerate() {
+        let row: &[f64; D] = row.try_into().expect("rows are D wide");
+        let (mut worse, mut better) = (false, false);
+        for k in 0..D {
+            worse |= row[k] > q[k];
+            better |= row[k] < q[k];
+        }
+        if better & !worse {
+            return Some(i);
+        }
+    }
+    None
+}
+
 /// Weak dominance `a ⪯ b`: `a` is nowhere worse than `b`.
 #[inline]
 pub fn weakly_dominates(a: &[f64], b: &[f64]) -> bool {
@@ -194,6 +244,28 @@ mod tests {
                 "a={a:?} b={b:?}"
             );
         }
+    }
+
+    #[test]
+    fn first_dominator_agrees_with_dominates() {
+        let q = [1.0, 2.0, f64::NAN];
+        let rows = [
+            [1.0, 2.0, 0.0],      // equal in the first two dims: NaN tie, not strict
+            [2.0, 1.0, 0.0],      // incomparable
+            [f64::NAN, 1.0, 5.0], // NaN ties, strictly better in dim 1
+            [0.0, 0.0, 0.0],
+        ];
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(
+                first_dominator(r, &q) == Some(0),
+                dominates(r, &q),
+                "row {i}"
+            );
+        }
+        let packed: Vec<f64> = rows.iter().flatten().copied().collect();
+        assert_eq!(first_dominator(&packed, &q), Some(2));
+        assert_eq!(first_dominator(&packed[..6], &q), None);
+        assert_eq!(first_dominator(&[], &[]), None);
     }
 
     #[test]

@@ -118,6 +118,10 @@ pub struct MergeOutcome {
     pub exhausted: bool,
     /// Number of iterations (pivots drawn).
     pub iterations: usize,
+    /// The dataset's minimum corner, when the pivot score computed it
+    /// (the Euclidean score does), so later phases need not scan the
+    /// whole dataset again. See [`MergeOutcome::dataset_min_corner`].
+    pub min_corner: Option<Vec<f64>>,
 }
 
 impl MergeOutcome {
@@ -132,6 +136,12 @@ impl MergeOutcome {
             .collect();
         all.sort_unstable();
         all
+    }
+
+    /// The dataset's minimum corner: the one the pivot score computed, or
+    /// a fresh pass over `data` when the score did not need it.
+    pub fn dataset_min_corner(&self, data: &Dataset) -> Vec<f64> {
+        self.min_corner.clone().unwrap_or_else(|| data.min_corner())
     }
 
     /// Histogram of survivor counts per subspace size `1..=dims`
@@ -204,27 +214,21 @@ fn merge_inner(
     // (see module docs for why not the raw origin). `minC` alone is not
     // strictly monotone, so its tie-break adds the sum scaled into the
     // comparison via a lexicographic pair packed as (primary, sum).
+    let mut min_corner = None;
     let scores: Vec<(f64, f64)> = match config.score {
         PivotScore::Euclidean => {
-            let mut min_corner = vec![f64::INFINITY; dims];
-            for (_, p) in data.iter() {
-                for (m, v) in min_corner.iter_mut().zip(p) {
-                    if *v < *m {
-                        *m = *v;
-                    }
-                }
-            }
-            data.iter()
+            let corner = data.min_corner();
+            let scores = data
+                .iter()
                 .map(|(_, p)| {
                     (
-                        p.iter()
-                            .zip(&min_corner)
-                            .map(|(v, m)| (v - m) * (v - m))
-                            .sum(),
+                        p.iter().zip(&corner).map(|(v, m)| (v - m) * (v - m)).sum(),
                         0.0,
                     )
                 })
-                .collect()
+                .collect();
+            min_corner = Some(corner);
+            scores
         }
         PivotScore::Sum => data.iter().map(|(_, p)| (p.iter().sum(), 0.0)).collect(),
         PivotScore::MinCoordinate => data
@@ -340,6 +344,7 @@ fn merge_inner(
         subspaces: out_subspaces,
         exhausted,
         iterations,
+        min_corner,
     })
 }
 

@@ -23,7 +23,8 @@ pub struct Metrics {
     pub dominance_tests: u64,
     /// Number of `put` operations on a skyline container.
     pub container_puts: u64,
-    /// Number of `candidates` queries on a skyline container.
+    /// Number of candidate queries on a skyline container
+    /// (`find_dominator` or `query_into`).
     pub container_gets: u64,
     /// Total candidates returned across all container queries.
     pub candidates_returned: u64,

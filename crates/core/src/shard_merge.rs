@@ -43,10 +43,11 @@
 //! reproduces the pre-extraction behaviour of the parallel engine
 //! dominance-test-for-dominance-test.
 
+use crate::boost::presort;
 use crate::cancel::{CancelToken, Cancelled, CHECK_STRIDE};
 use crate::container::{SkylineContainer, SubsetContainer};
 use crate::dataset::Dataset;
-use crate::dominance::{dominates, dominating_subspace, lex_cmp, points_equal};
+use crate::dominance::{dominating_subspace, lex_cmp, points_equal};
 use crate::metrics::Metrics;
 use crate::point::{coordinate_sum, max_coordinate, min_coordinate, PointId};
 use crate::subspace::Subspace;
@@ -139,16 +140,26 @@ where
         }
     }
 
-    // Presort by SaLSa's minC function (sum, then lexicographic
+    // Presort by SaLSa's minC function (sum, then lexicographic and key
     // tie-breaks so a dominator always precedes its victims even when
-    // scores round equal).
-    entries.sort_unstable_by(|&(a, _, _), &(b, _, _)| {
-        let (pa, pb) = (row_of(a), row_of(b));
-        min_coordinate(pa)
-            .total_cmp(&min_coordinate(pb))
-            .then_with(|| coordinate_sum(pa).total_cmp(&coordinate_sum(pb)))
-            .then_with(|| lex_cmp(pa, pb))
-    });
+    // scores round equal). minC is computed once per entry and the sum
+    // once per entry whose minC ties, so the comparator never calls
+    // `row_of` outside exact score ties.
+    let mut records: Vec<(f64, u32)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, &(key, _, _))| (min_coordinate(row_of(key)), i as u32))
+        .collect();
+    let order = presort(
+        &mut records,
+        |i| coordinate_sum(row_of(entries[i].0)),
+        |a, b| {
+            let (ka, kb) = (entries[a].0, entries[b].0);
+            lex_cmp(row_of(ka), row_of(kb)).then(ka.cmp(&kb))
+        },
+    );
+    drop(records);
+    let entries: Vec<(u64, u32, Subspace)> = order.iter().map(|&i| entries[i as usize]).collect();
     rec.span_end("sort");
 
     rec.span_start("scan");
@@ -158,8 +169,8 @@ where
         .map(|_| SubsetContainer::new(dims))
         .collect();
     // Containers store the candidate's *index* in the sorted entry list
-    // (keys may exceed the container's 32-bit id space).
-    let mut candidates: Vec<PointId> = Vec::new();
+    // (keys may exceed the container's 32-bit id space) next to a copy of
+    // its row, so the scan's dominance tests never go through `row_of`.
     for (scanned, &(q, q_shard, q_sub)) in entries.iter().enumerate() {
         if scanned % CHECK_STRIDE == 0 && cancel.check().is_err() {
             rec.span_end("scan");
@@ -172,24 +183,14 @@ where
             metrics.stop_pruned += (entries.len() - scanned) as u64;
             break;
         }
-        let mut dominated = false;
-        'shards: for (s, container) in containers.iter().enumerate() {
-            if s == q_shard as usize || container.is_empty() {
-                continue;
-            }
-            candidates.clear();
-            container.candidates_into(q_sub, &mut candidates, metrics);
-            for &c in &candidates {
-                metrics.count_dt();
-                if dominates(row_of(entries[c as usize].0), q_row) {
-                    dominated = true;
-                    break 'shards;
-                }
-            }
-        }
+        let dominated = containers.iter().enumerate().any(|(s, container)| {
+            s != q_shard as usize
+                && !container.is_empty()
+                && container.find_dominator(q_sub, q_row, metrics).is_some()
+        });
         best_max = best_max.min(max_coordinate(q_row));
         if !dominated {
-            containers[q_shard as usize].put(scanned as PointId, q_sub, metrics);
+            containers[q_shard as usize].put(scanned as PointId, q_row, q_sub, metrics);
             skyline.push(q);
         }
     }
@@ -248,6 +249,7 @@ pub fn reference_masks(data: &Dataset, ids: &[PointId], elite_ids: &[PointId]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::dominates;
     use skyline_obs::{MemoryRecorder, NoopRecorder};
 
     fn pseudo_random_rows(n: usize, d: usize, salt: usize) -> Vec<Vec<f64>> {

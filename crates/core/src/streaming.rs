@@ -106,7 +106,7 @@ impl StreamingSkyline {
             rows: Vec::new(),
             state: Vec::new(),
             dominator_index: SubsetIndex::new(dims),
-            evict_index: SubsetIndex::new(dims),
+            evict_index: SubsetIndex::ids_only(dims),
             shadowed_by: HashMap::new(),
             live: 0,
             skyline_len: 0,
@@ -316,17 +316,15 @@ impl StreamingSkyline {
     /// transitions into `events`.
     fn classify(&mut self, id: PointId, metrics: &mut Metrics, events: &mut DeltaEvents) {
         let sub = self.subspace_of(&self.rows[id as usize]);
-        // Dominator check: only skyline points with D ⊇ sub can dominate.
-        let mut candidates = Vec::new();
-        self.dominator_index
-            .query_into(sub, &mut candidates, metrics);
-        for &s in &candidates {
-            metrics.count_dt();
-            if dominates(&self.rows[s as usize], &self.rows[id as usize]) {
-                self.state[id as usize] = EntryState::Shadowed { killer: s };
-                self.shadowed_by.entry(s).or_default().push(id);
-                return;
-            }
+        // Dominator check: only skyline points with D ⊇ sub can dominate,
+        // tested in place on the rows the index carries.
+        if let Some(s) = self
+            .dominator_index
+            .find_dominator(sub, &self.rows[id as usize], metrics)
+        {
+            self.state[id as usize] = EntryState::Shadowed { killer: s };
+            self.shadowed_by.entry(s).or_default().push(id);
+            return;
         }
 
         // New skyline point: evict the skyline points it dominates —
@@ -342,8 +340,9 @@ impl StreamingSkyline {
             }
         }
         self.state[id as usize] = EntryState::Skyline(sub);
-        self.dominator_index.put(id, sub);
-        self.evict_index.put(id, sub.complement(self.dims));
+        let row = &self.rows[id as usize];
+        self.dominator_index.put(id, row, sub);
+        self.evict_index.put(id, row, sub.complement(self.dims));
         self.skyline_len += 1;
         events.entered.push(id);
     }
@@ -470,14 +469,15 @@ impl StreamingSkyline {
     /// Recompute every skyline point's subspace and rebuild the indexes.
     fn reanchor(&mut self, _metrics: &mut Metrics) {
         self.dominator_index = SubsetIndex::new(self.dims);
-        self.evict_index = SubsetIndex::new(self.dims);
+        self.evict_index = SubsetIndex::ids_only(self.dims);
         for id in 0..self.state.len() {
             if let EntryState::Skyline(_) = self.state[id] {
                 let sub = self.subspace_of(&self.rows[id]);
                 self.state[id] = EntryState::Skyline(sub);
-                self.dominator_index.put(id as PointId, sub);
+                let row = &self.rows[id];
+                self.dominator_index.put(id as PointId, row, sub);
                 self.evict_index
-                    .put(id as PointId, sub.complement(self.dims));
+                    .put(id as PointId, row, sub.complement(self.dims));
             }
         }
     }

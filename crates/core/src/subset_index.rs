@@ -4,7 +4,8 @@
 //! Skyline points are stored under their *reversed* maximum dominating
 //! subspace `D_p^¬ = D \ D_{p≺S}` in a map-based prefix trie: each trie
 //! path is the ascending dimension sequence of one reversed subspace, and
-//! each node holds the ids of the points stored at exactly that path.
+//! each node holds the ids of the points stored at exactly that path plus
+//! a copy of their rows.
 //!
 //! Lemma 5.1 reduces "which skyline points can possibly dominate a testing
 //! point `q`" to the reversed subset query: return every stored point whose
@@ -14,6 +15,13 @@
 //! dimension index belongs to `D_q^¬` (Algorithms 3 and 4), which visits at
 //! most `2^{|D_q^¬|}` nodes and runs in `O((d/2)²)` on average (Lemma 5.3).
 //!
+//! A scan does not need the candidates, only whether one of them dominates
+//! the testing point. [`GenericSubsetIndex::find_dominator`] answers that
+//! on the same walk: it tests each matching node's rows in place, where
+//! they sit contiguously, and stops testing at the first dominator. The
+//! walk order and the break point are those of [`GenericSubsetIndex::query_into`]
+//! followed by a scan over the ids, so every counter stays the same.
+//!
 //! The paper's data structure is "any map"; hash maps give `O(1)` node
 //! access and sorted maps `O(log d)` (discussed under Lemma 5.2). Both are
 //! provided here: [`SubsetIndex`] (hash) and [`SortedSubsetIndex`]
@@ -21,6 +29,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use crate::dominance::first_dominator;
 use crate::metrics::Metrics;
 use crate::point::PointId;
 use crate::subspace::Subspace;
@@ -145,11 +154,21 @@ impl Children for SortedChildren {
     }
 }
 
-/// One node of the prefix trie: the points stored at this exact path plus
-/// the sub-maps (Figure 3's key-value pairs).
+/// Rows per arena chunk. A node's rows occupy whole chunks, so testing
+/// one node reads up to `CHUNK_ROWS` contiguous rows between jumps.
+const CHUNK_ROWS: usize = 16;
+
+/// Chunks per arena page (one allocation each).
+const PAGE_CHUNKS: usize = 64;
+
+/// One node of the prefix trie: the points stored at this exact path, a
+/// copy of their rows, and the sub-maps (Figure 3's key-value pairs).
 #[derive(Debug, Clone)]
 pub struct TrieNode<C: Children> {
     points: Vec<PointId>,
+    /// Arena chunks holding the rows of `points`, in order: the row of
+    /// `points[i]` is slot `i % CHUNK_ROWS` of chunk `chunks[i / CHUNK_ROWS]`.
+    chunks: Vec<u32>,
     children: C,
 }
 
@@ -157,13 +176,124 @@ impl<C: Children> Default for TrieNode<C> {
     fn default() -> Self {
         TrieNode {
             points: Vec::new(),
+            chunks: Vec::new(),
             children: C::default(),
         }
     }
 }
 
+/// Row storage shared by every node of one index: fixed-size chunks of
+/// `CHUNK_ROWS` rows, cut in order from fixed-size pages and recycled
+/// through a free list when removals empty them.
+///
+/// Pages never move or grow, so storing rows costs no reallocation copies
+/// and no doubling slack, and a page's unused tail is never touched. One
+/// page per `CHUNK_ROWS * PAGE_CHUNKS` rows instead of one vector per node
+/// keeps the allocation count, and with it the heap fragmentation of
+/// repeated runs, flat; each node still reads its rows chunk by chunk.
+///
+/// An arena that does not `keep` rows stores nothing and hands out no
+/// chunks: its index answers id queries only.
+#[derive(Debug, Clone)]
+struct RowArena {
+    dims: usize,
+    keep: bool,
+    pages: Vec<Vec<f64>>,
+    chunks: usize,
+    free: Vec<u32>,
+}
+
+impl RowArena {
+    fn new(dims: usize, keep: bool) -> Self {
+        RowArena {
+            dims,
+            keep,
+            pages: Vec::new(),
+            chunks: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// The rows of `chunk`, `CHUNK_ROWS` slots wide.
+    fn chunk_rows(&self, chunk: u32) -> &[f64] {
+        let len = CHUNK_ROWS * self.dims;
+        let (page, at) = (chunk as usize / PAGE_CHUNKS, chunk as usize % PAGE_CHUNKS);
+        &self.pages[page][at * len..(at + 1) * len]
+    }
+
+    /// Slot `i` of a node whose rows live in `chunks`.
+    fn row_mut(&mut self, chunks: &[u32], i: usize) -> &mut [f64] {
+        let chunk = chunks[i / CHUNK_ROWS] as usize;
+        let (page, at) = (chunk / PAGE_CHUNKS, chunk % PAGE_CHUNKS);
+        let start = (at * CHUNK_ROWS + i % CHUNK_ROWS) * self.dims;
+        &mut self.pages[page][start..start + self.dims]
+    }
+
+    fn alloc(&mut self) -> u32 {
+        if let Some(chunk) = self.free.pop() {
+            return chunk;
+        }
+        let len = CHUNK_ROWS * self.dims;
+        if self.chunks % PAGE_CHUNKS == 0 {
+            self.pages.push(Vec::with_capacity(PAGE_CHUNKS * len));
+        }
+        let page = self.pages.last_mut().expect("a page was just ensured");
+        page.resize(page.len() + len, 0.0);
+        self.chunks += 1;
+        (self.chunks - 1) as u32
+    }
+
+    /// Append `row` as the `len`-th row of a node with `chunks`.
+    fn push(&mut self, chunks: &mut Vec<u32>, len: usize, row: &[f64]) {
+        if !self.keep {
+            return;
+        }
+        if len % CHUNK_ROWS == 0 {
+            chunks.push(self.alloc());
+        }
+        self.row_mut(chunks, len).copy_from_slice(row);
+    }
+
+    /// Mirror `points.swap_remove(at)` for a node that held `len` rows.
+    fn swap_remove(&mut self, chunks: &mut Vec<u32>, len: usize, at: usize) {
+        if !self.keep {
+            return;
+        }
+        let last = len - 1;
+        if at != last {
+            let mut row = [0.0; crate::subspace::MAX_DIMS];
+            let row = &mut row[..self.dims];
+            row.copy_from_slice(self.row_mut(chunks, last));
+            self.row_mut(chunks, at).copy_from_slice(row);
+        }
+        if last % CHUNK_ROWS == 0 {
+            self.free
+                .push(chunks.pop().expect("a stored row has a chunk"));
+        }
+    }
+
+    /// The rows of a node holding `len` points, one slice per chunk.
+    fn node_rows<'a>(&'a self, chunks: &'a [u32], len: usize) -> impl Iterator<Item = &'a [f64]> {
+        chunks.iter().enumerate().map(move |(k, &c)| {
+            let rows = (len - k * CHUNK_ROWS).min(CHUNK_ROWS);
+            &self.chunk_rows(c)[..rows * self.dims]
+        })
+    }
+}
+
+/// Per-query walk counters, folded into [`Metrics`] once per query.
+#[derive(Default)]
+struct WalkStats {
+    visited: u64,
+    max_depth: u64,
+    returned: u64,
+}
+
 /// The subset-query skyline index, generic over the node map.
 ///
+/// Every stored point carries a copy of its row, so
+/// [`GenericSubsetIndex::find_dominator`] tests candidates in place
+/// (except in an [`GenericSubsetIndex::ids_only`] index).
 /// Use the [`SubsetIndex`] alias (hash-map nodes) unless you are running
 /// the sorted-map ablation.
 #[derive(Debug, Clone)]
@@ -171,6 +301,7 @@ pub struct GenericSubsetIndex<C: Children> {
     root: TrieNode<C>,
     len: usize,
     dims: usize,
+    arena: RowArena,
 }
 
 /// Hash-map-backed subset index (the paper's default).
@@ -182,6 +313,18 @@ pub type SortedSubsetIndex = GenericSubsetIndex<SortedChildren>;
 impl<C: Children> GenericSubsetIndex<C> {
     /// An empty index over a `dims`-dimensional space.
     pub fn new(dims: usize) -> Self {
+        Self::with_rows(dims, true)
+    }
+
+    /// An empty index that stores ids without their rows, for an index
+    /// that is only ever read through [`Self::query_into`]: `put` still
+    /// checks the row's width but does not copy it, and
+    /// [`Self::find_dominator`] panics.
+    pub fn ids_only(dims: usize) -> Self {
+        Self::with_rows(dims, false)
+    }
+
+    fn with_rows(dims: usize, keep: bool) -> Self {
         assert!(
             dims <= crate::subspace::MAX_DIMS,
             "dimensionality {dims} exceeds {}",
@@ -191,6 +334,7 @@ impl<C: Children> GenericSubsetIndex<C> {
             root: TrieNode::default(),
             len: 0,
             dims,
+            arena: RowArena::new(dims, keep),
         }
     }
 
@@ -209,15 +353,22 @@ impl<C: Children> GenericSubsetIndex<C> {
         self.len == 0
     }
 
-    /// Algorithm 2 (**Add**): store `point` under its *maximum dominating
-    /// subspace* `subspace`. Internally the trie is keyed by the reversed
-    /// subspace `subspace^¬`, walked in ascending dimension order.
-    pub fn put(&mut self, point: PointId, subspace: Subspace) {
+    /// Algorithm 2 (**Add**): store `point`, whose coordinates are `row`,
+    /// under its *maximum dominating subspace* `subspace`. Internally the
+    /// trie is keyed by the reversed subspace `subspace^¬`, walked in
+    /// ascending dimension order.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not [`Self::dims`] wide.
+    pub fn put(&mut self, point: PointId, row: &[f64], subspace: Subspace) {
+        assert_eq!(row.len(), self.dims, "row width must match the index");
         let reversed = subspace.complement(self.dims);
         let mut node = &mut self.root;
         for dim in reversed.dims() {
             node = node.children.get_or_insert(dim as u8);
         }
+        self.arena.push(&mut node.chunks, node.points.len(), row);
         node.points.push(point);
         self.len += 1;
     }
@@ -231,25 +382,9 @@ impl<C: Children> GenericSubsetIndex<C> {
     /// `metrics` records the trie nodes visited, candidates returned, and
     /// the depth/candidate-count distributions.
     pub fn query_into(&self, subspace: Subspace, out: &mut Vec<PointId>, metrics: &mut Metrics) {
-        let before = out.len();
-        let mut visited = 0u64;
-        let mut max_depth = 0u64;
-        if subspace.is_empty() {
-            // Fast path: the reversed query is the full dimension set, so
-            // every child qualifies and every stored point is returned.
-            // Collect without the per-child membership tests the general
-            // walk pays on each node.
-            Self::collect_all(&self.root, out, &mut visited, 0, &mut max_depth);
-        } else {
-            let reversed = subspace.complement(self.dims);
-            Self::query_node(&self.root, reversed, out, &mut visited, 0, &mut max_depth);
-        }
-        let returned = (out.len() - before) as u64;
-        metrics.index_nodes_visited += visited;
-        metrics.candidates_returned += returned;
-        metrics.container_gets += 1;
-        metrics.trie_depth.record(max_depth);
-        metrics.trie_candidates.record(returned);
+        self.walk(subspace, metrics, |node| {
+            out.extend_from_slice(&node.points)
+        });
     }
 
     /// Convenience wrapper over [`Self::query_into`] that allocates.
@@ -259,46 +394,88 @@ impl<C: Children> GenericSubsetIndex<C> {
         out
     }
 
-    fn query_node(
+    /// The first candidate of [`Self::query_into`] that dominates `row`,
+    /// tested in place against the stored rows.
+    ///
+    /// Equivalent to running `query_into` and then testing the returned
+    /// ids in order until the first dominator: the walk is the same
+    /// preorder, one dominance test is counted per candidate up to and
+    /// including the hit, and after a hit the walk continues without
+    /// testing so the node, candidate and histogram counters match the
+    /// full query exactly.
+    pub fn find_dominator(
+        &self,
+        subspace: Subspace,
+        row: &[f64],
+        metrics: &mut Metrics,
+    ) -> Option<PointId> {
+        assert_eq!(row.len(), self.dims, "row width must match the index");
+        assert!(
+            self.arena.keep,
+            "find_dominator needs an index that keeps rows"
+        );
+        let mut hit = None;
+        let mut tests = 0u64;
+        self.walk(subspace, metrics, |node| {
+            if hit.is_some() {
+                return;
+            }
+            let rows = self.arena.node_rows(&node.chunks, node.points.len());
+            for (ids, rows) in node.points.chunks(CHUNK_ROWS).zip(rows) {
+                match first_dominator(rows, row) {
+                    Some(i) => {
+                        tests += i as u64 + 1;
+                        hit = Some(ids[i]);
+                        return;
+                    }
+                    None => tests += ids.len() as u64,
+                }
+            }
+        });
+        metrics.count_dts(tests);
+        hit
+    }
+
+    /// The subset-query walk shared by every query: visit, in preorder,
+    /// each node whose path is a subset of `subspace^¬`, then record one
+    /// container get with its node, candidate and depth counts.
+    fn walk<F: FnMut(&TrieNode<C>)>(
+        &self,
+        subspace: Subspace,
+        metrics: &mut Metrics,
+        mut visit: F,
+    ) {
+        let mut stats = WalkStats::default();
+        let reversed = subspace.complement(self.dims);
+        Self::walk_node(&self.root, reversed, 0, &mut stats, &mut visit);
+        metrics.index_nodes_visited += stats.visited;
+        metrics.candidates_returned += stats.returned;
+        metrics.container_gets += 1;
+        metrics.trie_depth.record(stats.max_depth);
+        metrics.trie_candidates.record(stats.returned);
+    }
+
+    fn walk_node<F: FnMut(&TrieNode<C>)>(
         node: &TrieNode<C>,
         reversed_query: Subspace,
-        out: &mut Vec<PointId>,
-        visited: &mut u64,
         depth: u64,
-        max_depth: &mut u64,
+        stats: &mut WalkStats,
+        visit: &mut F,
     ) {
-        *visited += 1;
-        *max_depth = (*max_depth).max(depth);
-        out.extend_from_slice(&node.points);
+        stats.visited += 1;
+        stats.max_depth = stats.max_depth.max(depth);
+        stats.returned += node.points.len() as u64;
+        visit(node);
         node.children.visit(&mut |dim, child| {
             if reversed_query.contains(dim as usize) {
-                Self::query_node(child, reversed_query, out, visited, depth + 1, max_depth);
+                Self::walk_node(child, reversed_query, depth + 1, stats, visit);
             }
         });
     }
 
-    /// Unconditional collection for the empty-query fast path: identical
-    /// traversal order and metrics accounting to [`Self::query_node`]
-    /// with a full reversed query, minus the subset membership test per
-    /// child.
-    fn collect_all(
-        node: &TrieNode<C>,
-        out: &mut Vec<PointId>,
-        visited: &mut u64,
-        depth: u64,
-        max_depth: &mut u64,
-    ) {
-        *visited += 1;
-        *max_depth = (*max_depth).max(depth);
-        out.extend_from_slice(&node.points);
-        node.children.visit(&mut |_, child| {
-            Self::collect_all(child, out, visited, depth + 1, max_depth);
-        });
-    }
-
-    /// Remove one occurrence of `point` stored under `subspace`. Returns
-    /// `false` when the point was not stored there. Emptied trie branches
-    /// are pruned.
+    /// Remove one occurrence of `point` stored under `subspace`, with its
+    /// row. Returns `false` when the point was not stored there. Emptied
+    /// trie branches are pruned.
     ///
     /// Removal is not part of the paper's algorithms (its scans only ever
     /// add skyline points) but is required by the streaming extension
@@ -313,7 +490,7 @@ impl<C: Children> GenericSubsetIndex<C> {
         }
         let reversed = subspace.complement(self.dims);
         let dims: Vec<u8> = reversed.dims().map(|d| d as u8).collect();
-        let removed = Self::remove_rec(&mut self.root, &dims, point);
+        let removed = Self::remove_rec(&mut self.root, &mut self.arena, &dims, point);
         if removed {
             self.len -= 1;
         }
@@ -322,10 +499,16 @@ impl<C: Children> GenericSubsetIndex<C> {
 
     /// Returns whether the point was removed; prunes empty children on
     /// the way back up.
-    fn remove_rec(node: &mut TrieNode<C>, path: &[u8], point: PointId) -> bool {
+    fn remove_rec(
+        node: &mut TrieNode<C>,
+        arena: &mut RowArena,
+        path: &[u8],
+        point: PointId,
+    ) -> bool {
         match path.split_first() {
             None => match node.points.iter().position(|&p| p == point) {
                 Some(at) => {
+                    arena.swap_remove(&mut node.chunks, node.points.len(), at);
                     node.points.swap_remove(at);
                     true
                 }
@@ -335,7 +518,7 @@ impl<C: Children> GenericSubsetIndex<C> {
                 let Some(child) = node.children.get_mut(dim) else {
                     return false;
                 };
-                let removed = Self::remove_rec(child, rest, point);
+                let removed = Self::remove_rec(child, arena, rest, point);
                 if removed && child.points.is_empty() && child.children.is_empty() {
                     node.children.remove_child(dim);
                 }
@@ -379,10 +562,11 @@ impl<C: Children> GenericSubsetIndex<C> {
         out
     }
 
-    /// Drop all stored points, keeping the dimensionality.
+    /// Drop all stored points and rows, keeping the dimensionality.
     pub fn clear(&mut self) {
         self.root = TrieNode::default();
         self.len = 0;
+        self.arena = RowArena::new(self.dims, self.arena.keep);
     }
 }
 
@@ -392,6 +576,13 @@ mod tests {
 
     fn sub(dims: &[usize]) -> Subspace {
         Subspace::from_dims(dims.iter().copied())
+    }
+
+    /// Store `point` with an all-zero row: these tests are about the
+    /// subset-query semantics, which never read the rows.
+    fn put<C: Children>(index: &mut GenericSubsetIndex<C>, point: PointId, subspace: Subspace) {
+        let row = vec![0.0; index.dims()];
+        index.put(point, &row, subspace);
     }
 
     /// Brute-force oracle for the subset query semantics.
@@ -436,7 +627,7 @@ mod tests {
         let mut entries = Vec::new();
         for (i, r) in reversed.iter().enumerate() {
             let forward = r.complement(dims);
-            index.put(i as PointId, forward);
+            put(&mut index, i as PointId, forward);
             entries.push((i as PointId, forward));
         }
         assert_eq!(index.len(), 7);
@@ -466,7 +657,7 @@ mod tests {
         // D_p = full space => reversed empty => stored at the root =>
         // returned for every query.
         let mut index = SubsetIndex::new(4);
-        index.put(7, Subspace::full(4));
+        put(&mut index, 7, Subspace::full(4));
         for query_bits in 0..16u64 {
             let mut m = Metrics::new();
             let got = index.query(Subspace::from_bits(query_bits), &mut m);
@@ -477,7 +668,7 @@ mod tests {
     #[test]
     fn disjoint_subspaces_do_not_match() {
         let mut index = SubsetIndex::new(4);
-        index.put(1, sub(&[0, 1])); // reversed {2,3}
+        put(&mut index, 1, sub(&[0, 1])); // reversed {2,3}
         let mut m = Metrics::new();
         // Query subspace {2}: D_p = {0,1} is not a superset of {2}.
         assert!(index.query(sub(&[2]), &mut m).is_empty());
@@ -488,15 +679,15 @@ mod tests {
     #[test]
     fn multiple_points_same_subspace_share_a_node() {
         let mut index = SubsetIndex::new(5);
-        index.put(1, sub(&[0, 2]));
-        index.put(2, sub(&[0, 2]));
-        index.put(3, sub(&[0, 2]));
+        put(&mut index, 1, sub(&[0, 2]));
+        put(&mut index, 2, sub(&[0, 2]));
+        put(&mut index, 3, sub(&[0, 2]));
         let nodes = index.node_count();
         let mut m = Metrics::new();
         let mut got = index.query(sub(&[0, 2]), &mut m);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        index.put(4, sub(&[0, 2]));
+        put(&mut index, 4, sub(&[0, 2]));
         assert_eq!(
             index.node_count(),
             nodes,
@@ -522,7 +713,7 @@ mod tests {
         let mut entries = Vec::new();
         for bits in 0..(1u64 << dims) {
             let s = Subspace::from_bits(bits);
-            index.put(bits as PointId, s);
+            put(&mut index, bits as PointId, s);
             entries.push((bits as PointId, s));
         }
         assert_eq!(index.len(), 1 << dims);
@@ -543,7 +734,7 @@ mod tests {
             let mut entries = Vec::new();
             for bits in [0u64, 0b1, 0b101, 0b11010, 0b111111, 0b100100] {
                 let s = Subspace::from_bits(bits);
-                index.put(bits as PointId, s);
+                put(&mut index, bits as PointId, s);
                 entries.push((bits as PointId, s));
             }
             let mut m = Metrics::new();
@@ -566,8 +757,8 @@ mod tests {
     #[test]
     fn metrics_accounting() {
         let mut index = SubsetIndex::new(4);
-        index.put(0, sub(&[0, 1, 2, 3]));
-        index.put(1, sub(&[1, 2, 3]));
+        put(&mut index, 0, sub(&[0, 1, 2, 3]));
+        put(&mut index, 1, sub(&[1, 2, 3]));
         let mut m = Metrics::new();
         let got = index.query(sub(&[1]), &mut m);
         assert_eq!(got.len(), 2);
@@ -586,7 +777,7 @@ mod tests {
             (13, sub(&[5])),
         ];
         for (p, s) in items {
-            index.put(p, s);
+            put(&mut index, p, s);
         }
         let mut got = index.entries();
         got.sort_unstable();
@@ -598,7 +789,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut index = SubsetIndex::new(3);
-        index.put(0, sub(&[0]));
+        put(&mut index, 0, sub(&[0]));
         index.clear();
         assert!(index.is_empty());
         assert_eq!(index.node_count(), 1);
@@ -608,9 +799,9 @@ mod tests {
     #[test]
     fn remove_deletes_exactly_one_occurrence() {
         let mut index = SubsetIndex::new(4);
-        index.put(1, sub(&[0, 1]));
-        index.put(2, sub(&[0, 1]));
-        index.put(1, sub(&[2]));
+        put(&mut index, 1, sub(&[0, 1]));
+        put(&mut index, 2, sub(&[0, 1]));
+        put(&mut index, 1, sub(&[2]));
         assert_eq!(index.len(), 3);
         assert!(index.remove(1, sub(&[0, 1])));
         assert_eq!(index.len(), 2);
@@ -628,7 +819,7 @@ mod tests {
     #[test]
     fn remove_missing_subspace_is_noop() {
         let mut index = SubsetIndex::new(4);
-        index.put(1, sub(&[0]));
+        put(&mut index, 1, sub(&[0]));
         assert!(!index.remove(1, sub(&[1])));
         assert_eq!(index.len(), 1);
     }
@@ -640,7 +831,7 @@ mod tests {
         let mut entries: Vec<(PointId, Subspace)> = Vec::new();
         for bits in 0..(1u64 << dims) {
             let s = Subspace::from_bits(bits);
-            index.put(bits as PointId, s);
+            put(&mut index, bits as PointId, s);
             entries.push((bits as PointId, s));
         }
         // Remove every third entry and re-verify all queries.
@@ -660,11 +851,133 @@ mod tests {
     #[test]
     fn query_into_appends() {
         let mut index = SubsetIndex::new(3);
-        index.put(5, sub(&[0, 1, 2]));
+        put(&mut index, 5, sub(&[0, 1, 2]));
         let mut out = vec![99];
         let mut m = Metrics::new();
         index.query_into(sub(&[1]), &mut out, &mut m);
         assert_eq!(out, vec![99, 5]);
+    }
+
+    /// The old scan loop: every candidate of `query_into`, in order,
+    /// tested with [`crate::dominance::dominates`] until the first hit.
+    fn query_then_scan<C: Children>(
+        index: &GenericSubsetIndex<C>,
+        rows: &[Vec<f64>],
+        subspace: Subspace,
+        q: &[f64],
+        metrics: &mut Metrics,
+    ) -> Option<PointId> {
+        let mut candidates = Vec::new();
+        index.query_into(subspace, &mut candidates, metrics);
+        for &c in &candidates {
+            metrics.count_dt();
+            if crate::dominance::dominates(&rows[c as usize], q) {
+                return Some(c);
+            }
+        }
+        None
+    }
+
+    /// On random tries (with removals and chunk reuse) and random query
+    /// rows, the in-place query reports the same first dominator, the same
+    /// dominance-test count and identical `Metrics` as `query_into`
+    /// followed by the old loop.
+    fn find_dominator_matches_query_then_scan<C: Children>(seed: u64) {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..60 {
+            let dims = 1 + next(10) as usize;
+            let mask = Subspace::full(dims).bits();
+            let mut index = GenericSubsetIndex::<C>::new(dims);
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            let mut stored: Vec<(PointId, Subspace)> = Vec::new();
+            let add = |index: &mut GenericSubsetIndex<C>,
+                       rows: &mut Vec<Vec<f64>>,
+                       stored: &mut Vec<(PointId, Subspace)>,
+                       next: &mut dyn FnMut(u64) -> u64| {
+                let id = rows.len() as PointId;
+                let row: Vec<f64> = (0..dims).map(|_| next(5) as f64 / 4.0).collect();
+                let s = Subspace::from_bits(next(1 << dims) & mask);
+                index.put(id, &row, s);
+                rows.push(row);
+                stored.push((id, s));
+            };
+            for _ in 0..next(150) {
+                add(&mut index, &mut rows, &mut stored, &mut next);
+            }
+            // Remove about a third, then refill: swap-removes move rows
+            // inside their node and emptied chunks are recycled.
+            stored.retain(|&(p, s)| {
+                if next(3) == 0 {
+                    assert!(index.remove(p, s));
+                    false
+                } else {
+                    true
+                }
+            });
+            for _ in 0..next(40) {
+                add(&mut index, &mut rows, &mut stored, &mut next);
+            }
+            assert_eq!(index.len(), stored.len());
+            for _ in 0..40 {
+                let q: Vec<f64> = (0..dims).map(|_| next(5) as f64 / 4.0).collect();
+                let qs = Subspace::from_bits(next(1 << dims) & mask);
+                let mut old = Metrics::new();
+                let want = query_then_scan(&index, &rows, qs, &q, &mut old);
+                let mut new = Metrics::new();
+                let got = index.find_dominator(qs, &q, &mut new);
+                assert_eq!(got, want, "dims={dims} query {qs:?} row {q:?}");
+                assert_eq!(new, old, "dims={dims} query {qs:?} row {q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn find_dominator_matches_query_then_scan_hash() {
+        find_dominator_matches_query_then_scan::<HashChildren>(7);
+    }
+
+    #[test]
+    fn find_dominator_matches_query_then_scan_sorted() {
+        find_dominator_matches_query_then_scan::<SortedChildren>(11);
+    }
+
+    #[test]
+    fn ids_only_index_answers_queries_without_rows() {
+        let mut index = SubsetIndex::ids_only(3);
+        let mut full = SubsetIndex::new(3);
+        for (id, bits) in [(0, 0b011), (1, 0b111), (2, 0b001), (3, 0b011)] {
+            let row = [id as f64; 3];
+            index.put(id, &row, Subspace::from_bits(bits));
+            full.put(id, &row, Subspace::from_bits(bits));
+        }
+        assert!(index.remove(0, Subspace::from_bits(0b011)));
+        assert!(full.remove(0, Subspace::from_bits(0b011)));
+        assert!(index.arena.pages.is_empty());
+        for q in 0..8 {
+            let (mut a, mut b) = (Metrics::new(), Metrics::new());
+            assert_eq!(
+                index.query(Subspace::from_bits(q), &mut a),
+                full.query(Subspace::from_bits(q), &mut b)
+            );
+            assert_eq!(a, b);
+        }
+        index.clear();
+        index.put(4, &[0.0; 3], Subspace::from_bits(0b111));
+        assert!(index.arena.pages.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps rows")]
+    fn ids_only_index_refuses_find_dominator() {
+        let index = SubsetIndex::ids_only(2);
+        index.find_dominator(Subspace::EMPTY, &[0.0, 0.0], &mut Metrics::new());
     }
 
     #[test]

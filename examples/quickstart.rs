@@ -45,7 +45,7 @@ fn main() {
     );
     let mut index = SubsetIndex::new(data.dims());
     for (&q, &sub) in outcome.survivors.iter().zip(&outcome.subspaces) {
-        index.put(q, sub);
+        index.put(q, data.point(q), sub);
         println!("  survivor {q} has maximum dominating subspace {sub}");
     }
     // Which stored points could dominate a point that beats the pivots

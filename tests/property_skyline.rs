@@ -108,7 +108,7 @@ proptest! {
         let dims = 8;
         let mut index = SubsetIndex::new(dims);
         for &(id, bits) in &entries {
-            index.put(id, Subspace::from_bits(bits));
+            index.put(id, &[0.0; 8], Subspace::from_bits(bits));
         }
         let q = Subspace::from_bits(query);
         let mut m = Metrics::new();

@@ -33,10 +33,11 @@ fn randomised_queries_match_the_oracle() {
         let mut hash_index = SubsetIndex::new(dims);
         let mut sorted_index = SortedSubsetIndex::new(dims);
         let mut entries = Vec::new();
+        let row = vec![0.0; dims];
         for id in 0..300u32 {
             let s = Subspace::from_bits(rng.next_u64() & mask);
-            hash_index.put(id, s);
-            sorted_index.put(id, s);
+            hash_index.put(id, &row, s);
+            sorted_index.put(id, &row, s);
             entries.push((id, s));
         }
         for _ in 0..200 {
@@ -66,7 +67,7 @@ fn merge_produced_subspaces_roundtrip_through_the_index() {
             .map(|(&q, &s)| (q, s))
             .collect();
         for &(q, s) in &entries {
-            index.put(q, s);
+            index.put(q, data.point(q), s);
         }
         assert_eq!(index.len(), entries.len(), "{label}");
         // Query with every stored subspace: the point itself must always
@@ -90,6 +91,7 @@ fn remove_on_empty_index_is_a_noop_fast_path() {
     let dims = 6;
     let mut index = SubsetIndex::new(dims);
     let mut m = Metrics::new();
+    let row = vec![0.0; dims];
 
     // Fresh-empty: every remove misses, nothing panics, nothing counts.
     for id in 0..8u32 {
@@ -104,7 +106,7 @@ fn remove_on_empty_index_is_a_noop_fast_path() {
     // Drained-empty: fill, empty out, then remove again — the fast path
     // must also cover an index that *became* empty.
     for id in 0..16u32 {
-        index.put(id, Subspace::from_bits(id as u64 % 5));
+        index.put(id, &row, Subspace::from_bits(id as u64 % 5));
     }
     for id in 0..16u32 {
         assert!(index.remove(id, Subspace::from_bits(id as u64 % 5)));
@@ -115,7 +117,7 @@ fn remove_on_empty_index_is_a_noop_fast_path() {
     }
 
     // The structure stays fully usable after the no-op removes.
-    index.put(42, Subspace::from_bits(0b11));
+    index.put(42, &row, Subspace::from_bits(0b11));
     let got = index.query(Subspace::from_bits(0b01), &mut m);
     assert_eq!(got, vec![42]);
     assert!(index.remove(42, Subspace::from_bits(0b11)));
@@ -127,11 +129,12 @@ fn node_count_is_bounded_by_total_path_length() {
     let mut rng = Rng64::seed_from_u64(7);
     let dims = 10;
     let mut index = SubsetIndex::new(dims);
+    let row = vec![0.0; dims];
     let mut total_path = 0usize;
     for id in 0..500u32 {
         let s = Subspace::from_bits(rng.next_u64() & 0x3FF);
         total_path += s.complement(dims).size();
-        index.put(id, s);
+        index.put(id, &row, s);
     }
     // Root + at most one node per path element.
     assert!(index.node_count() <= 1 + total_path);
@@ -143,8 +146,9 @@ fn query_visits_no_more_nodes_than_exist() {
     let mut rng = Rng64::seed_from_u64(11);
     let dims = 8;
     let mut index = SubsetIndex::new(dims);
+    let row = vec![0.0; dims];
     for id in 0..200u32 {
-        index.put(id, Subspace::from_bits(rng.next_u64() & 0xFF));
+        index.put(id, &row, Subspace::from_bits(rng.next_u64() & 0xFF));
     }
     let nodes = index.node_count() as u64;
     for _ in 0..50 {
